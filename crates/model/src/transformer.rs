@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
-use specinfer_tensor::{kernels, ops, PackedPanels, Tensor, PACKED_SMALL_M_MAX};
+use specinfer_tensor::{kernels, ops, pool, PackedPanels, Tensor, PACKED_SMALL_M_MAX};
 use specinfer_tokentree::{LinearizedTree, NodeId, TokenId, TokenTree, TopologyMask};
 
 use crate::config::ModelConfig;
@@ -30,7 +30,7 @@ pub enum Visibility<'a> {
     /// absolute row `j` (cache rows and earlier batch rows alike; `j` is
     /// an index into the cache *after* the batch is appended). Used by the
     /// speculator, whose cache interleaves several branches.
-    Custom(&'a dyn Fn(usize, usize) -> bool),
+    Custom(&'a (dyn Fn(usize, usize) -> bool + Sync)),
 }
 
 impl std::fmt::Debug for Visibility<'_> {
@@ -202,8 +202,10 @@ struct ForwardScratch {
     gate: Tensor,
     /// SwiGLU linear branch, `[Σn, d_ff]`.
     lin: Tensor,
-    /// Blocked-attention scratch of the serial path.
-    attn: AttnScratch,
+    /// Attention tasks `(request, first row)` of the current pass.
+    att_tasks: Vec<(usize, usize)>,
+    /// End offset of each attention task's rows in `att`.
+    att_ends: Vec<usize>,
     /// RoPE inverse frequencies keyed by head_dim (LLM and SSMs with
     /// different head widths may share one thread).
     inv_freqs: Vec<(usize, Vec<f32>)>,
@@ -211,13 +213,16 @@ struct ForwardScratch {
 
 thread_local! {
     static SCRATCH: RefCell<ForwardScratch> = RefCell::new(ForwardScratch::default());
+    /// Blocked-attention buffers of whichever thread runs an attention
+    /// task — the forward's own thread or a pool worker.
+    static ATTN_SCRATCH: RefCell<AttnScratch> = RefCell::new(AttnScratch::default());
 }
 
 /// Multiply–add count per (query row × cache row × channel) below which
 /// the attention loop stays serial; matches the kernels' threshold.
 const PAR_MIN_ATT_FLOPS: usize = kernels::PAR_MIN_FLOPS;
 
-/// Per-worker buffers of the blocked attention path: the gathered
+/// Per-thread buffers of the blocked attention path: the gathered
 /// per-head query block, the dense score matrix, and the per-head
 /// output block.
 #[derive(Default)]
@@ -610,6 +615,40 @@ impl Transformer {
                 }
             }
 
+            // Attention tasks, the same for every layer. Attention is
+            // block-diagonal (request r's queries score only request r's
+            // cache); when the work justifies the pool, each request is
+            // cut into chunks in proportion to its share of the
+            // score-matrix work.
+            let att_flops: usize = ns
+                .iter()
+                .zip(&totals)
+                .map(|(&n_r, &t_r)| n_r * t_r * d)
+                .sum();
+            let threads = specinfer_tensor::effective_threads().min(big_n);
+            let pooled = threads > 1 && att_flops >= PAR_MIN_ATT_FLOPS;
+            let chunk_rows = |r: usize| {
+                let chunks = if pooled {
+                    (threads * ns[r] * totals[r] * d)
+                        .div_ceil(att_flops)
+                        .clamp(1, ns[r])
+                } else {
+                    1
+                };
+                ns[r].div_ceil(chunks)
+            };
+            s.att_tasks.clear();
+            s.att_tasks.extend(
+                (0..reqs.len())
+                    .flat_map(|r| (0..ns[r]).step_by(chunk_rows(r)).map(move |lo| (r, lo))),
+            );
+            s.att_ends.clear();
+            s.att_ends.extend(
+                s.att_tasks
+                    .iter()
+                    .map(|&(r, lo)| (offs[r] + (lo + chunk_rows(r)).min(ns[r])) * d),
+            );
+
             let scale = 1.0 / (hd as f32).sqrt();
             for (layer_idx, layer) in self.weights.layers.iter().enumerate() {
                 ops::rmsnorm_rows_into(&s.x, &layer.attn_norm, ModelConfig::RMS_EPS, &mut s.h);
@@ -641,75 +680,39 @@ impl Transformer {
                     );
                 }
 
-                // Blocked attention, request by request (block-diagonal:
-                // request r's queries score only request r's cache).
-                // Partitioned by query row when the work justifies
-                // threads; every reduction runs in the same ascending
-                // order either way, so the output is bitwise independent
-                // of the partitioning.
+                // Blocked attention over the tasks. Every reduction runs
+                // in the same ascending order whatever the partition, so
+                // the output is bitwise independent of it.
                 s.att.reset(&[big_n, d]);
-                let flops: usize = ns
-                    .iter()
-                    .zip(&totals)
-                    .map(|(&n_r, &t_r)| n_r * t_r * d)
-                    .sum();
-                let threads = kernels::effective_threads().min(big_n);
-                let (att, qkv, vis, attn) = (&mut s.att, &s.qkv, &s.vis, &mut s.attn);
-                if threads > 1 && flops >= PAR_MIN_ATT_FLOPS {
-                    // Split the stacked rows into per-request slices,
-                    // then chunk each request proportionally to its share
-                    // of the score-matrix work, spawning as we go — no
-                    // per-layer task or cache-ref vectors.
-                    std::thread::scope(|scope| {
-                        let mut rest = att.data_mut();
-                        for (r, q) in reqs.iter().enumerate() {
-                            let cache_ref: &KvCache = &*q.cache;
-                            let (mine, tail) = rest.split_at_mut(ns[r] * d);
-                            rest = tail;
-                            let weight = ns[r] * totals[r] * d;
-                            let chunks = (threads * weight).div_ceil(flops).clamp(1, ns[r]);
-                            let chunk_rows = ns[r].div_ceil(chunks);
-                            let vis_r = &vis[vis_offs[r]..vis_offs[r] + ns[r] * totals[r]];
-                            let (q_row0, total) = (offs[r], totals[r]);
-                            for (ci, chunk) in mine.chunks_mut(chunk_rows * d).enumerate() {
-                                scope.spawn(move || {
-                                    let mut scratch = AttnScratch::default();
-                                    attention_block(
-                                        chunk,
-                                        ci * chunk_rows,
-                                        qkv,
-                                        q_row0,
-                                        vis_r,
-                                        cache_ref,
-                                        layer_idx,
-                                        total,
-                                        n_heads,
-                                        hd,
-                                        scale,
-                                        &mut scratch,
-                                    );
-                                });
-                            }
-                        }
-                    });
-                } else {
-                    let att_data = att.data_mut();
-                    for (r, q) in reqs.iter().enumerate() {
-                        let chunk = &mut att_data[offs[r] * d..(offs[r] + ns[r]) * d];
+                let (qkv, vis, tasks, ends) = (&s.qkv, &s.vis, &s.att_tasks, &s.att_ends);
+                let reqs_now: &[BatchRequest<'_>] = reqs;
+                let task = |t: usize, chunk: &mut [f32]| {
+                    let (r, lo) = tasks[t];
+                    ATTN_SCRATCH.with(|cell| {
                         attention_block(
                             chunk,
-                            0,
+                            lo,
                             qkv,
                             offs[r],
                             &vis[vis_offs[r]..vis_offs[r] + ns[r] * totals[r]],
-                            &*q.cache,
+                            &*reqs_now[r].cache,
                             layer_idx,
                             totals[r],
                             n_heads,
                             hd,
                             scale,
-                            attn,
-                        );
+                            &mut cell.borrow_mut(),
+                        )
+                    })
+                };
+                if pooled {
+                    pool::for_each_split_mut(s.att.data_mut(), ends, task);
+                } else {
+                    let att = s.att.data_mut();
+                    let mut start = 0;
+                    for (t, &end) in ends.iter().enumerate() {
+                        task(t, &mut att[start..end]);
+                        start = end;
                     }
                 }
                 dense_into(&s.att, &layer.wo, &packs.wo[layer_idx], &mut s.proj);

@@ -241,7 +241,9 @@ impl LiveRequest {
             generated: result.generated().to_vec(),
             arrival_s: self.arrival_s,
             finish_s: clock,
-            steps: result.steps,
+            // Exact length: the report keeps every response, and the
+            // session's `Vec` has grown by doubling.
+            steps: result.steps.into_boxed_slice().into_vec(),
             outcome,
         };
         let _ = self.reply.send(response.clone());

@@ -543,7 +543,9 @@ impl<'m> Server<'m> {
                             generated: result.generated().to_vec(),
                             arrival_s: done.request.arrival_s,
                             finish_s: clock,
-                            steps: result.steps,
+                            // Exact length: the report keeps every response, and the
+                            // session's `Vec` has grown by doubling.
+                            steps: result.steps.into_boxed_slice().into_vec(),
                             outcome,
                         });
                     }
@@ -579,24 +581,11 @@ impl<'m> Server<'m> {
     }
 
     fn step_batch(&self, active: &mut [ActiveRequest]) {
-        let llm = self.llm;
-        let ssms = &self.ssms;
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(active.len())
-            .max(1);
-        let chunk = active.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for slice in active.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for a in slice {
-                        let fault = std::mem::take(&mut a.pending_fault);
-                        a.last_stats = a.session.step_faulted(llm, ssms, &a.config, fault);
-                        a.steps_taken += 1;
-                    }
-                });
-            }
+        let (llm, ssms) = (self.llm, &self.ssms);
+        specinfer_tensor::pool::for_each_mut(active, |_, a| {
+            let fault = std::mem::take(&mut a.pending_fault);
+            a.last_stats = a.session.step_faulted(llm, ssms, &a.config, fault);
+            a.steps_taken += 1;
         });
     }
 }

@@ -259,36 +259,23 @@ impl BatchedVerifier {
 }
 
 /// Phase 1: fused speculation — propose for all sessions in one
-/// data-parallel pass. Each session owns its caches and RNG stream and
-/// the kernels are bitwise-identical at any thread count, so sharding
-/// sessions over threads emits exactly the proposals serial per-item
-/// sequencing would.
+/// data-parallel pass on the worker pool. Sessions are claimed one at a
+/// time from the pool's cursor, so a session that drafts nothing (an
+/// incremental-rung or fallback step) frees its thread for the next one.
+/// Each session owns its caches and RNG stream and the kernels are
+/// bitwise-identical at any thread count, so the proposals equal what
+/// serial per-item sequencing emits.
 fn propose_all(
     llm: &Transformer,
     ssms: &[&Transformer],
     items: &mut [BatchItem<'_>],
 ) -> Vec<Option<Proposal>> {
-    let n = items.len();
-    let mut proposals: Vec<Option<Proposal>> = Vec::with_capacity(n);
-    proposals.resize_with(n, || None);
-    let threads = specinfer_tensor::effective_threads().min(n).max(1);
-    if threads > 1 {
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (items_chunk, slots) in items.chunks_mut(chunk).zip(proposals.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (it, slot) in items_chunk.iter_mut().zip(slots.iter_mut()) {
-                        *slot = it.session.propose(llm, ssms, it.config, it.fault);
-                    }
-                });
-            }
-        });
-    } else {
-        for (it, slot) in items.iter_mut().zip(proposals.iter_mut()) {
-            *slot = it.session.propose(llm, ssms, it.config, it.fault);
-        }
-    }
-    proposals
+    let mut work: Vec<(&mut BatchItem<'_>, Option<Proposal>)> =
+        items.iter_mut().map(|it| (it, None)).collect();
+    specinfer_tensor::pool::for_each_mut(&mut work, |_, (it, slot)| {
+        *slot = it.session.propose(llm, ssms, it.config, it.fault);
+    });
+    work.into_iter().map(|(_, proposal)| proposal).collect()
 }
 
 /// Runs one fused forward over `preps`, pairing each prep with its

@@ -429,8 +429,8 @@ impl Session {
         Session::try_new_budgeted(llm, ssms, prompt, seed, usize::MAX)
     }
 
-    /// [`Session::try_new`] with the LLM KV slab sized to `kv_rows`
-    /// instead of the model's full `max_seq_len`.
+    /// [`Session::try_new`] with the LLM KV slab and every SSM cache
+    /// sized to `kv_rows` instead of the models' full `max_seq_len`.
     ///
     /// Ragged serving right-sizes each session's slab so hundreds of
     /// short requests fit in memory at once. A budget of at least
@@ -465,14 +465,18 @@ impl Session {
         // Everything but the last token is prefilled; the last token
         // roots the first speculated tree.
         let head = prompt.split_last().map(|(_, h)| h).unwrap_or(&[]);
-        let mut llm_cache = llm.new_cache_with_capacity(kv_rows.max(prompt.len()));
+        let rows = kv_rows.max(prompt.len());
+        let mut llm_cache = llm.new_cache_with_capacity(rows);
         if !head.is_empty() {
             let _ = llm.prefill(head, &mut llm_cache);
         }
+        // The SSM caches get the same budget: they hold the verified
+        // context (never more rows than the LLM cache) plus the draft
+        // rows `speculation_fits` checks against the LLM cache too.
         let ssm_caches = ssms
             .iter()
             .map(|ssm| {
-                let mut c = ssm.new_cache();
+                let mut c = ssm.new_cache_with_capacity(rows);
                 if !head.is_empty() {
                     let _ = ssm.prefill(head, &mut c);
                 }

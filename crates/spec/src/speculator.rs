@@ -416,9 +416,9 @@ fn graft_into(
 }
 
 /// Data-parallel merge-based speculation: every SSM of the pool expands
-/// into a *private* tree on its own thread — each SSM already owns a
-/// private KV cache, so the expansions share nothing mutable — and the
-/// private trees are then merged in pool order (Definition 3.2).
+/// into a *private* tree as its own worker-pool chunk — each SSM already
+/// owns a private KV cache, so the expansions share nothing mutable —
+/// and the private trees are then merged in pool order (Definition 3.2).
 ///
 /// One RNG stream per SSM is forked from `rng` up front, in pool order,
 /// so the result is identical whether the pool runs on one thread or
@@ -448,46 +448,25 @@ pub fn speculate_pool_parallel(
     // Fork the per-SSM streams before any threading decision so the
     // draws cannot depend on the thread count.
     let mut rngs: Vec<SeededRng> = (0..ssms.len()).map(|i| rng.fork(i as u64)).collect();
-    let mut parts: Vec<Option<(TokenTree, SsmDistTable)>> = ssms.iter().map(|_| None).collect();
-    if specinfer_tensor::effective_threads() > 1 && ssms.len() > 1 {
-        std::thread::scope(|scope| {
-            for (((((i, &ssm), cache), prng), slot), &config) in ssms
-                .iter()
-                .enumerate()
-                .zip(caches.iter_mut())
-                .zip(rngs.iter_mut())
-                .zip(parts.iter_mut())
-                .zip(configs.iter())
-            {
-                scope.spawn(move || {
-                    let mut tree = TokenTree::new(root_token);
-                    let mut dists = SsmDistTable::new();
-                    expand_into(&mut tree, &mut dists, ssm, i, cache, config, mode, prng);
-                    *slot = Some((tree, dists));
-                });
-            }
-        });
-    } else {
-        for (((((i, &ssm), cache), prng), slot), &config) in ssms
-            .iter()
-            .enumerate()
-            .zip(caches.iter_mut())
-            .zip(rngs.iter_mut())
-            .zip(parts.iter_mut())
-            .zip(configs.iter())
-        {
-            let mut tree = TokenTree::new(root_token);
-            let mut dists = SsmDistTable::new();
-            expand_into(&mut tree, &mut dists, ssm, i, cache, config, mode, prng);
-            *slot = Some((tree, dists));
-        }
-    }
+    let mut parts: Vec<_> = ssms
+        .iter()
+        .zip(caches.iter_mut())
+        .zip(rngs.iter_mut())
+        .zip(configs)
+        .map(|(((&ssm, cache), prng), &config)| (ssm, cache, prng, config, None))
+        .collect();
+    specinfer_tensor::pool::for_each_mut(&mut parts, |i, (ssm, cache, prng, config, slot)| {
+        let mut tree = TokenTree::new(root_token);
+        let mut dists = SsmDistTable::new();
+        expand_into(&mut tree, &mut dists, ssm, i, cache, config, mode, prng);
+        *slot = Some((tree, dists));
+    });
     // Deterministic pool-order merge.
     let mut tree = TokenTree::new(root_token);
     let mut dists = SsmDistTable::new();
-    for (i, part) in parts.into_iter().enumerate() {
+    for (i, (.., part)) in parts.into_iter().enumerate() {
         let Some((ptree, pdists)) = part else {
-            unreachable!("scope join guarantees every SSM worker filled its slot")
+            unreachable!("the pool runs every SSM's expansion before returning")
         };
         graft_into(&mut tree, &mut dists, &ptree, &pdists, i, mode);
     }

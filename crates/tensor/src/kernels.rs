@@ -1,12 +1,12 @@
 //! Parallel blocked matmul kernels.
 //!
 //! All three matmul variants dispatch through this module. Large shapes
-//! are partitioned across threads with `std::thread::scope`; small
-//! shapes stay on a single-threaded fast path. The partitioning is
-//! always over *output elements* (rows, or columns when there is a
-//! single output row), never over the shared `k` dimension, so every
-//! output element accumulates its products in a fixed order regardless
-//! of the thread count.
+//! are partitioned into chunks run on the persistent worker pool
+//! ([`crate::pool`]); shapes below [`PAR_MIN_FLOPS`] stay on a
+//! single-threaded fast path. The partitioning is always over *output
+//! elements* (rows, or columns when there is a single output row), never
+//! over the shared `k` dimension, so every output element accumulates
+//! its products in a fixed order regardless of the thread count.
 //!
 //! Each partition runs on the process-selected [`SimdBackend`]
 //! (see [`crate::simd`]): the scalar kernels below are the
@@ -18,32 +18,30 @@
 //! ("Threading model & determinism" and "SIMD dispatch & packed
 //! panels").
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
+use crate::pool::{self, effective_threads};
 use crate::simd::{self, SimdBackend};
 
-/// Configured thread cap; 0 means "use available parallelism".
-static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
+/// Measured time a two-way pooled matmul takes beyond half its serial
+/// time while the pool worker is still spinning from the previous job
+/// (2.5–4.7 µs at 8–48 rows on a 2-thread AVX2+FMA host; see
+/// ARCHITECTURE.md §6). Kernels of one forward pass run back to back, so
+/// this, not the parked-worker wake-up, is the cost they pay; a parked
+/// worker only joins late, and the caller never waits for it.
+const POOL_DISPATCH_NS: usize = 4_000;
 
-/// Caps the number of threads matmul kernels may use.
+/// Serial multiply–adds per nanosecond of the AVX2+FMA blocked kernels
+/// at tree-verify shapes on the same host (21×96×256 in about 21 µs).
+/// The scalar backend is slower, so on it the threshold below errs
+/// towards staying serial.
+const SERIAL_MACS_PER_NS: usize = 24;
+
+/// Multiply–add count (`m·k·n`) below which kernels stay serial.
 ///
-/// `0` restores the default (the machine's available parallelism);
-/// `1` forces the serial path. The setting is process-global and takes
-/// effect on the next kernel call. Output values are bitwise identical
-/// at every setting; the cap exists for benchmarking and for tests that
-/// want to exercise a specific path.
-pub fn set_max_threads(n: usize) {
-    MAX_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// The current thread cap (0 = automatic).
-pub fn max_threads() -> usize {
-    MAX_THREADS.load(Ordering::Relaxed)
-}
-
-/// Multiply–add count (`m·k·n`) below which kernels stay serial: at
-/// small sizes thread spawn/join costs more than the arithmetic.
-pub const PAR_MIN_FLOPS: usize = 64 * 64 * 64;
+/// Splitting `T` ns of serial work over two threads costs `T/2 +
+/// POOL_DISPATCH_NS`, which only beats `T` once `T > 2·POOL_DISPATCH_NS`;
+/// more threads lower the break-even towards `POOL_DISPATCH_NS`, so the
+/// two-thread bound is the conservative one.
+pub const PAR_MIN_FLOPS: usize = 2 * POOL_DISPATCH_NS * SERIAL_MACS_PER_NS;
 
 /// Row count below which `matmul_nt` skips the 4×4 blocked tile and
 /// takes the per-row lane kernel directly. The blocked tile amortises
@@ -53,26 +51,6 @@ pub const PAR_MIN_FLOPS: usize = 64 * 64 * 64;
 /// [`nt_one_row`] (whose bounds checks are hoisted so the four column
 /// lanes actually pipeline).
 pub const NT_BLOCK_MIN_M: usize = 4;
-
-/// The thread count kernels will actually use: the configured cap, or
-/// the machine's available parallelism when the cap is 0. Exposed so
-/// higher layers (e.g. the model's attention loop) can make the same
-/// serial-vs-parallel decision the kernels do.
-///
-/// `available_parallelism` is a syscall (~10 µs); querying it on every
-/// kernel call used to dominate decode-shaped matvecs outright, so the
-/// answer is latched once per process.
-pub fn effective_threads() -> usize {
-    static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    match max_threads() {
-        0 => *AUTO.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }),
-        n => n,
-    }
-}
 
 /// `out[i0+r, :] = A[i0+r, :] × B` for each row of `out`, in i-k-j order.
 ///
@@ -360,9 +338,10 @@ fn tn_rows(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, m: usize, k: usize,
     }
 }
 
-/// Partitions `out` (treated as `m` rows of width `n`) across threads
-/// and runs `worker(out_chunk, first_row)` on each chunk.
-fn scoped_rows(
+/// Partitions `out` (treated as `m` rows of width `n`) into `threads`
+/// row chunks and runs `worker(out_chunk, first_row)` on each through
+/// the pool.
+fn pooled_rows(
     out: &mut [f32],
     m: usize,
     n: usize,
@@ -370,29 +349,22 @@ fn scoped_rows(
     worker: impl Fn(&mut [f32], usize) + Sync,
 ) {
     let chunk_rows = m.div_ceil(threads.min(m));
-    std::thread::scope(|scope| {
-        for (ci, out_chunk) in out.chunks_mut(chunk_rows * n).enumerate() {
-            let worker = &worker;
-            scope.spawn(move || worker(out_chunk, ci * chunk_rows));
-        }
+    pool::for_each_chunk_mut(out, chunk_rows * n, |ci, chunk| {
+        worker(chunk, ci * chunk_rows)
     });
 }
 
-/// Partitions a single output row of width `n` across threads by column
-/// range and runs `worker(out_chunk, first_col)` on each chunk.
-fn scoped_cols(
+/// Partitions a single output row of width `n` into `threads` column
+/// ranges and runs `worker(out_chunk, first_col)` on each through the
+/// pool.
+fn pooled_cols(
     out: &mut [f32],
     n: usize,
     threads: usize,
     worker: impl Fn(&mut [f32], usize) + Sync,
 ) {
     let chunk_cols = n.div_ceil(threads.min(n));
-    std::thread::scope(|scope| {
-        for (ci, out_chunk) in out.chunks_mut(chunk_cols).enumerate() {
-            let worker = &worker;
-            scope.spawn(move || worker(out_chunk, ci * chunk_cols));
-        }
-    });
+    pool::for_each_chunk_mut(out, chunk_cols, |ci, chunk| worker(chunk, ci * chunk_cols));
 }
 
 /// `out = A × B` on an explicit backend; `out` must be zero-filled,
@@ -412,11 +384,11 @@ pub fn matmul_nn_with(
     if threads <= 1 || m * k * n < PAR_MIN_FLOPS {
         nn_rows_with(be, a, b, out, 0, k, n);
     } else if m == 1 {
-        scoped_cols(out, n, threads, |chunk, j0| {
+        pooled_cols(out, n, threads, |chunk, j0| {
             nn_cols_with(be, a, b, chunk, j0, k, n)
         });
     } else {
-        scoped_rows(out, m, n, threads, |chunk, i0| {
+        pooled_rows(out, m, n, threads, |chunk, i0| {
             nn_rows_with(be, a, b, chunk, i0, k, n)
         });
     }
@@ -446,12 +418,12 @@ pub fn matmul_nt_with(
     } else if m == 1 {
         // Columns of the single output row are rows of `b`, so each
         // chunk sees a contiguous slice of `b`.
-        scoped_cols(out, n, threads, |chunk, j0| {
+        pooled_cols(out, n, threads, |chunk, j0| {
             let b_chunk = &b[j0 * k..(j0 + chunk.len()) * k];
             nt_rows_with(be, a, b_chunk, chunk, 0, k, chunk.len());
         });
     } else {
-        scoped_rows(out, m, n, threads, |chunk, i0| {
+        pooled_rows(out, m, n, threads, |chunk, i0| {
             nt_rows_with(be, a, b, chunk, i0, k, n)
         });
     }
@@ -474,9 +446,9 @@ pub(crate) fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
     } else if m == 1 {
         // With one output row, Aᵀ is a single row of length k stored as
         // a column, which is exactly the nn single-row sweep.
-        scoped_cols(out, n, threads, |chunk, j0| nn_cols(a, b, chunk, j0, k, n));
+        pooled_cols(out, n, threads, |chunk, j0| nn_cols(a, b, chunk, j0, k, n));
     } else {
-        scoped_rows(out, m, n, threads, |chunk, i0| {
+        pooled_rows(out, m, n, threads, |chunk, i0| {
             tn_rows(a, b, chunk, i0, m, k, n)
         });
     }
@@ -487,7 +459,7 @@ pub(crate) fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
 ///
 /// Entry point for higher layers that compose blocked kernels inside
 /// their own (already partitioned) work items — e.g. the model's
-/// per-head attention blocks. Never spawns threads; runs on the
+/// per-head attention blocks. Never uses the pool; runs on the
 /// process-selected backend, with the same per-element reduction order
 /// as [`matmul_nn`], so composing it under a caller's partition is
 /// bitwise-inert.
@@ -504,7 +476,7 @@ pub fn matmul_nn_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize
 ///
 /// Entry point for higher layers that compose blocked kernels inside
 /// their own (already partitioned) work items — e.g. scoring a query
-/// block against a contiguous per-head KV slab. Never spawns threads;
+/// block against a contiguous per-head KV slab. Never uses the pool;
 /// runs on the process-selected backend with the same per-element
 /// reduction order as [`matmul_nt`].
 pub fn matmul_nt_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
@@ -517,11 +489,10 @@ pub fn matmul_nt_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::tests::KNOB;
+    use crate::pool::{max_threads, set_max_threads};
     use crate::rng::SeededRng;
     use crate::Tensor;
-
-    /// Serializes tests that toggle the global thread cap.
-    static KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn randn(dims: &[usize], seed: u64) -> Tensor {
         Tensor::randn(dims, 1.0, &mut SeededRng::new(seed))

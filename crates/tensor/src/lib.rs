@@ -30,11 +30,12 @@ pub mod kernels;
 pub mod ops;
 pub mod optim;
 pub mod pack;
+pub mod pool;
 pub mod rng;
 pub mod simd;
 mod tensor;
 
-pub use kernels::{effective_threads, max_threads, set_max_threads};
 pub use pack::{PackedPanels, PACKED_SMALL_M_MAX};
+pub use pool::{effective_threads, max_threads, set_max_threads};
 pub use simd::SimdBackend;
 pub use tensor::{Tensor, TensorError};

@@ -94,8 +94,10 @@ impl PackedPanels {
 
     /// `out = A × B` against the packed panels on the process-selected
     /// backend. `a` is `[m, k]` row-major, `out` is `[m, n]` and fully
-    /// overwritten. Always serial: the packed path exists for the
-    /// decode matvecs, which sit far below the threading threshold.
+    /// overwritten. Runs on the calling thread, never on the worker
+    /// pool: the packed path serves `m ≤ PACKED_SMALL_M_MAX`, where a
+    /// whole matvec takes a few µs — about what a pooled split adds
+    /// (`kernels::PAR_MIN_FLOPS`) — so splitting it cannot pay.
     pub fn matvec_into(&self, a: &[f32], out: &mut [f32]) {
         self.matvec_into_with(simd::backend(), a, out);
     }

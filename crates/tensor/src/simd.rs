@@ -5,7 +5,7 @@
 //! on x86-64, NEON on aarch64, with the scalar kernels in
 //! [`crate::kernels`] as the cross-platform reference. The backend is
 //! selected **exactly once** at startup — same discipline as
-//! [`crate::kernels::set_max_threads`] — from the `SPECINFER_SIMD`
+//! [`crate::pool::set_max_threads`] — from the `SPECINFER_SIMD`
 //! environment variable (`scalar` / `avx2` / `neon` / `native`) falling
 //! back to runtime CPU feature detection. No per-call feature probing.
 //!

@@ -1,158 +1,263 @@
-//! Model-checked concurrency tests for the kernel thread-pool pattern.
+//! Model-checked hand-off of the persistent worker pool (`src/pool.rs`).
 //!
-//! `kernels::scoped_rows`/`scoped_cols` partition an output buffer into
-//! disjoint chunks, run one worker per chunk, and rely on the scope join
-//! as the only barrier. These models re-create that protocol under the
-//! loom-lite explorer (`shims/loom`), which enumerates every thread
-//! interleaving and reports assertion failures and deadlocks — so a lost
-//! wakeup in the join/notify protocol would fail here deterministically,
-//! on every machine, with the schedule that triggers it.
+//! The models below re-create the pool's protocol with loom-lite
+//! primitives (`shims/loom`), whose explorer runs every interleaving (up
+//! to a preemption bound) and reports assertion failures, deadlocks and
+//! spin-waits nobody can end:
 //!
-//! The invariant under test is the one the kernels document: the
-//! partitioned result, joined in pool order, is **bitwise identical** to
-//! the serial computation, for 1–4 workers, under every schedule.
+//! 1. **publish** — the caller stores the job in `job`, bumps `epoch`,
+//!    then unparks the workers;
+//! 2. **park/wake** — a worker parks until `epoch` moves past the last
+//!    epoch it saw (the real worker also polls a while before parking,
+//!    which only adds checks before the same park);
+//! 3. **work** — a worker attaches (`attached += 1`) *before* it loads
+//!    `job`, and every participant claims chunks from the job's cursor;
+//! 4. **complete** — the caller retracts the job, yields until
+//!    `attached == 0`, and only then frees the job.
+//!
+//! Each execution runs two jobs back to back, so workers re-park and must
+//! join the second epoch, then publishes a shutdown (the real pool never
+//! shuts down; the models need every execution to end). Checked under
+//! every schedule, for 1–3 workers: every chunk runs exactly once, the
+//! merged rows equal the serial bits, no worker touches a job after the
+//! caller freed it, and every worker wakes for the shutdown. Two broken
+//! variants must be caught: a caller that unparks before bumping `epoch`
+//! (a woken worker re-checks too early, parks again and sleeps through
+//! the publish: a lost wakeup), and a worker that loads `job` before it
+//! attaches (the caller can see `attached == 0` in between and free the
+//! job under it).
 
-use loom::sync::mpsc;
-use loom::thread;
+use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use loom::sync::{Arc, Mutex};
+use loom::thread::{self, Thread};
 
-/// The per-row kernel the partition invariance argument rests on: each
-/// output row is a left-to-right f32 accumulation over `k`, so a row's
-/// bits depend only on its inputs — never on which worker computed it.
-fn rows_kernel(a: &[f32], b: &[f32], rows: std::ops::Range<usize>, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * n];
-    for (ri, i) in rows.enumerate() {
-        for kk in 0..k {
-            let av = a[i * k + kk];
-            for j in 0..n {
-                out[ri * n + j] += av * b[kk * n + j];
-            }
+/// Rows per job; one chunk per row.
+const ROWS: usize = 2;
+const K: usize = 2;
+const N: usize = 2;
+
+/// One output row: a left-to-right f32 accumulation over `k`, so its bits
+/// depend only on its inputs — never on which thread computed it.
+fn row(a: &[f32], b: &[f32], i: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; N];
+    for kk in 0..K {
+        let av = a[i * K + kk];
+        for (j, o) in out.iter_mut().enumerate() {
+            *o += av * b[kk * N + j];
         }
     }
     out
 }
 
-/// Deterministic awkward-valued inputs (f32 addition is non-associative,
-/// so any ordering slip shows up in the bits).
-fn inputs(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
-    let a: Vec<f32> = (0..m * k).map(|i| 0.1 + (i as f32) * 0.37).collect();
-    let b: Vec<f32> = (0..k * n).map(|i| -0.25 + (i as f32) * 0.19).collect();
+/// Awkward-valued inputs: f32 addition is non-associative, so any
+/// ordering slip would show in the bits.
+fn inputs(seed: usize) -> (Vec<f32>, Vec<f32>) {
+    let a = (0..ROWS * K)
+        .map(|i| 0.1 + (i + seed) as f32 * 0.37)
+        .collect();
+    let b = (0..K * N)
+        .map(|i| -0.25 + (i + seed) as f32 * 0.19)
+        .collect();
     (a, b)
 }
 
-fn row_ranges(m: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    let chunk = m.div_ceil(workers.min(m));
-    (0..m)
-        .step_by(chunk)
-        .map(|lo| lo..(lo + chunk).min(m))
+struct Job {
+    a: Vec<f32>,
+    b: Vec<f32>,
+    next: AtomicUsize,
+    rows: Mutex<Vec<Option<Vec<f32>>>>,
+    /// Set once the caller's `run` has returned: the real job is gone.
+    freed: AtomicBool,
+}
+
+impl Job {
+    fn new(seed: usize) -> Arc<Job> {
+        let (a, b) = inputs(seed);
+        Arc::new(Job {
+            a,
+            b,
+            next: AtomicUsize::new(0),
+            rows: Mutex::new(vec![None; ROWS]),
+            freed: AtomicBool::new(false),
+        })
+    }
+
+    /// Step 3: claim chunks until none are left.
+    fn work(&self) {
+        loop {
+            assert!(
+                !self.freed.load(Ordering::SeqCst),
+                "a worker used the job after the caller freed it"
+            );
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= ROWS {
+                return;
+            }
+            let r = row(&self.a, &self.b, i);
+            let mut rows = self.rows.lock().unwrap();
+            assert!(rows[i].is_none(), "chunk {i} ran twice");
+            rows[i] = Some(r);
+        }
+    }
+}
+
+/// Jobs per execution.
+const JOBS: usize = 2;
+
+struct Pool {
+    /// Every job of the execution; `job` holds an index + 1.
+    jobs: Vec<Arc<Job>>,
+    /// The published job (index + 1), 0 between jobs.
+    job: AtomicUsize,
+    epoch: AtomicUsize,
+    attached: AtomicUsize,
+    shutdown: AtomicBool,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Variant {
+    Correct,
+    /// The caller unparks the workers before it bumps `epoch`.
+    UnparkBeforePublish,
+    /// The worker loads `job` before it attaches.
+    LoadBeforeAttach,
+}
+
+fn worker(pool: &Pool, variant: Variant) {
+    let mut seen = 0;
+    loop {
+        let epoch = loop {
+            let epoch = pool.epoch.load(Ordering::SeqCst);
+            if epoch != seen {
+                break epoch;
+            }
+            thread::park();
+        };
+        seen = epoch;
+        if pool.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let id = if variant == Variant::LoadBeforeAttach {
+            let id = pool.job.load(Ordering::SeqCst);
+            pool.attached.fetch_add(1, Ordering::SeqCst);
+            id
+        } else {
+            pool.attached.fetch_add(1, Ordering::SeqCst);
+            pool.job.load(Ordering::SeqCst)
+        };
+        if id != 0 {
+            pool.jobs[id - 1].work();
+        }
+        pool.attached.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Steps 1's epoch bump and wake-ups.
+fn wake(pool: &Pool, workers: &[Thread], variant: Variant) {
+    if variant == Variant::UnparkBeforePublish {
+        workers.iter().for_each(Thread::unpark);
+        pool.epoch.fetch_add(1, Ordering::SeqCst);
+    } else {
+        pool.epoch.fetch_add(1, Ordering::SeqCst);
+        workers.iter().for_each(Thread::unpark);
+    }
+}
+
+/// Steps 1–4 from the caller's side; returns the merged rows.
+fn run(pool: &Pool, id: usize, workers: &[Thread], variant: Variant) -> Vec<f32> {
+    let job = &pool.jobs[id];
+    pool.job.store(id + 1, Ordering::SeqCst);
+    wake(pool, workers, variant);
+    job.work();
+    pool.job.store(0, Ordering::SeqCst);
+    while pool.attached.load(Ordering::SeqCst) != 0 {
+        thread::yield_now();
+    }
+    let rows = job.rows.lock().unwrap().clone();
+    job.freed.store(true, Ordering::SeqCst);
+    rows.into_iter()
+        .flat_map(|r| r.expect("every chunk ran before run returned"))
         .collect()
 }
 
-/// The scope-join barrier model: one worker per disjoint row chunk, the
-/// parent joins in pool order and concatenates. Explored exhaustively
-/// for 1–4 workers; every schedule must produce the serial bits.
-#[test]
-fn partition_join_is_bitwise_stable_for_1_to_4_workers() {
-    let (m, k, n) = (4usize, 3usize, 2usize);
-    let (a, b) = inputs(m, k, n);
-    let serial = rows_kernel(&a, &b, 0..m, k, n);
+fn model(workers: usize, variant: Variant) -> loom::Report {
+    let mut builder = loom::Builder::new();
+    // Two jobs' schedule space is too large to enumerate in a test, so
+    // every model runs under CHESS-style preemption bounding: all
+    // schedules in which blocking points alone decide the order, plus up
+    // to BOUND forced switches anywhere.
+    builder.preemption_bound = Some(match workers {
+        1 => 3,
+        2 => 2,
+        _ => 1,
+    });
+    builder.explore(move || body(workers, variant))
+}
 
-    for workers in 1..=4usize {
-        let (a, b, serial) = (a.clone(), b.clone(), serial.clone());
-        let report = loom::explore(move || {
-            let handles: Vec<_> = row_ranges(m, workers)
-                .into_iter()
-                .map(|range| {
-                    let (a, b) = (a.clone(), b.clone());
-                    thread::spawn(move || rows_kernel(&a, &b, range, k, n))
-                })
-                .collect();
-            // Pool-order join: the barrier and the merge are the same
-            // step, exactly like std::thread::scope joining its workers.
-            let mut merged = Vec::new();
-            for h in handles {
-                merged.extend(h.join().expect("worker completes"));
-            }
-            assert_eq!(merged.len(), serial.len());
-            let same_bits = merged
-                .iter()
-                .zip(&serial)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same_bits, "partitioned result drifted from serial bits");
-        });
-        assert!(
-            report.failure.is_none(),
-            "{} workers: {:?}",
-            workers,
-            report.failure
-        );
-        assert!(report.completed, "exploration must cover every schedule");
-        assert!(report.schedules >= 1, "at least the baseline schedule runs");
+/// One execution: spawn the workers, run the jobs, shut down.
+fn body(workers: usize, variant: Variant) {
+    let pool = Arc::new(Pool {
+        jobs: (0..JOBS).map(Job::new).collect(),
+        job: AtomicUsize::new(0),
+        epoch: AtomicUsize::new(0),
+        attached: AtomicUsize::new(0),
+        shutdown: AtomicBool::new(false),
+    });
+    let handles: Vec<_> = (0..workers)
+        .map(|_| {
+            let pool = Arc::clone(&pool);
+            thread::spawn(move || worker(&pool, variant))
+        })
+        .collect();
+    let threads: Vec<Thread> = handles.iter().map(|h| h.thread().clone()).collect();
+    for id in 0..JOBS {
+        let merged = run(&pool, id, &threads, variant);
+        let (a, b) = inputs(id);
+        let serial: Vec<f32> = (0..ROWS).flat_map(|i| row(&a, &b, i)).collect();
+        let same_bits = merged
+            .iter()
+            .zip(&serial)
+            .all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same_bits, "pooled rows drifted from the serial bits");
+    }
+    pool.shutdown.store(true, Ordering::SeqCst);
+    wake(&pool, &threads, variant);
+    for h in handles {
+        h.join().expect("worker exits cleanly");
     }
 }
 
-/// The completion-notification variant: workers announce over a channel
-/// when their chunk is done and the parent waits for all announcements
-/// before reading any result. A lost wakeup (a send the receiver can
-/// sleep through) would strand the parent in `recv` — the explorer
-/// reports that as a deadlock, so `completed` + no failure proves the
-/// wakeup protocol sound across every interleaving.
 #[test]
-fn completion_channel_has_no_lost_wakeup() {
-    let (m, k, n) = (3usize, 2usize, 2usize);
-    let (a, b) = inputs(m, k, n);
-    let serial = rows_kernel(&a, &b, 0..m, k, n);
-
-    for workers in 2..=3usize {
-        let (a, b, serial) = (a.clone(), b.clone(), serial.clone());
-        let report = loom::explore(move || {
-            let (tx, rx) = mpsc::channel();
-            let handles: Vec<_> = row_ranges(m, workers)
-                .into_iter()
-                .enumerate()
-                .map(|(idx, range)| {
-                    let (a, b) = (a.clone(), b.clone());
-                    let tx = tx.clone();
-                    thread::spawn(move || {
-                        let chunk = rows_kernel(&a, &b, range, k, n);
-                        tx.send(idx).expect("parent outlives workers");
-                        chunk
-                    })
-                })
-                .collect();
-            drop(tx);
-            // Barrier: one announcement per worker, in completion order.
-            let mut seen = vec![false; handles.len()];
-            for _ in 0..handles.len() {
-                let idx = rx.recv().expect("every worker announces");
-                assert!(!seen[idx], "worker announced twice");
-                seen[idx] = true;
-            }
-            // Merge in pool order regardless of announcement order.
-            let mut merged = Vec::new();
-            for h in handles {
-                merged.extend(h.join().expect("worker completes"));
-            }
-            let same_bits = merged
-                .iter()
-                .zip(&serial)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same_bits, "partitioned result drifted from serial bits");
-        });
+fn hand_off_is_complete_and_exact_for_1_to_3_workers() {
+    for workers in 1..=3 {
+        let report = model(workers, Variant::Correct);
         assert!(
             report.failure.is_none(),
-            "{} workers: {:?}",
-            workers,
+            "{workers} workers: {:?}",
             report.failure
         );
-        assert!(
-            report.completed,
-            "{} workers: exploration truncated",
-            workers
-        );
+        assert!(report.completed, "{workers} workers: exploration truncated");
         assert!(
             report.schedules > 1,
-            "{} workers must admit multiple interleavings",
-            workers
+            "{workers} workers must admit multiple interleavings"
         );
     }
+}
+
+#[test]
+fn unparking_before_the_publish_loses_a_wakeup() {
+    let report = model(1, Variant::UnparkBeforePublish);
+    let failure = report
+        .failure
+        .expect("the explorer must catch the lost wakeup");
+    assert!(failure.contains("deadlock"), "{failure}");
+}
+
+#[test]
+fn loading_the_job_before_attaching_is_a_use_after_free() {
+    let report = model(1, Variant::LoadBeforeAttach);
+    let failure = report
+        .failure
+        .expect("the explorer must catch the early load");
+    assert!(failure.contains("freed it"), "{failure}");
 }

@@ -102,6 +102,7 @@ pub const NO_UNWRAP_SCOPE: &[&str] = &[
     "crates/model/src/",
     "crates/tokentree/src/",
     "crates/tensor/src/kernels.rs",
+    "crates/tensor/src/pool.rs",
 ];
 
 /// The one module allowed to read the wall clock: the serving layer's
@@ -109,18 +110,12 @@ pub const NO_UNWRAP_SCOPE: &[&str] = &[
 /// an input (the simulated clock) or not at all.
 pub const CLOCK_MODULE: &str = "crates/serving/src/clock.rs";
 
-/// Modules sanctioned to create threads: the tensor kernel pool, the
-/// data-parallel SSM speculation pool, and the serving daemon/iteration
-/// loop. A `thread::spawn` anywhere else is a determinism hazard — its
-/// interleaving is unmodelled and untested.
-pub const THREAD_SANCTIONED: &[&str] = &[
-    "crates/tensor/src/kernels.rs",
-    "crates/model/src/transformer.rs",
-    "crates/spec/src/speculator.rs",
-    "crates/spec/src/batch.rs",
-    "crates/serving/src/daemon.rs",
-    "crates/serving/src/server.rs",
-];
+/// Modules sanctioned to create threads: the tensor crate's persistent
+/// worker pool, which every compute fan-out goes through, and the serving
+/// daemon's iteration-loop thread. A `thread::spawn` anywhere else is a
+/// determinism hazard — its interleaving is unmodelled and untested.
+pub const THREAD_SANCTIONED: &[&str] =
+    &["crates/tensor/src/pool.rs", "crates/serving/src/daemon.rs"];
 
 /// Paths exempt from the determinism rule: benchmark binaries (timing is
 /// their purpose) and the sanctioned clock module.
@@ -420,33 +415,39 @@ mod tests {
         let src = "fn f() { std::thread::spawn(|| {}); }\n";
         assert_eq!(lint_all("crates/workloads/src/text.rs", src).len(), 1);
         assert!(lint_all("crates/serving/src/daemon.rs", src).is_empty());
-        assert!(lint_all("crates/tensor/src/kernels.rs", src).is_empty());
+        assert!(lint_all("crates/tensor/src/pool.rs", src).is_empty());
     }
 
     #[test]
     fn unwrap_and_thread_rules_cover_the_batch_and_kernel_surfaces() {
         // `spec/src/batch.rs` (the cross-request batched verifier) is in
-        // the hot-path unwrap scope via its crate prefix, and it is a
-        // sanctioned thread module: the ragged batch fuses per-session
-        // SSM speculation into one data-parallel scoped pass (the fused
-        // verify itself still gets its parallelism from the blocked
-        // kernels).
+        // the hot-path unwrap scope via its crate prefix. Its fused
+        // speculation fans out through the worker pool, so it — like the
+        // kernels, the attention partition and the trace-driven server —
+        // may not create threads itself.
         let unwrap_src = "fn f() { x.unwrap(); }\n";
         let scope_src = "fn f() { std::thread::scope(|s| {}); }\n";
         let f = lint_all("crates/spec/src/batch.rs", unwrap_src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "no_unwrap");
-        assert!(lint_all("crates/spec/src/batch.rs", scope_src).is_empty());
-        // A non-sanctioned spec module still may not spawn.
-        let f = lint_all("crates/spec/src/engine.rs", scope_src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "thread_confinement");
-        // The tensor kernels may spawn (sanctioned pool module) but may
-        // not panic — they run under every batched forward.
-        let f = lint_all("crates/tensor/src/kernels.rs", unwrap_src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "no_unwrap");
-        assert!(lint_all("crates/tensor/src/kernels.rs", scope_src).is_empty());
+        for path in [
+            "crates/spec/src/batch.rs",
+            "crates/spec/src/speculator.rs",
+            "crates/tensor/src/kernels.rs",
+            "crates/model/src/transformer.rs",
+            "crates/serving/src/server.rs",
+        ] {
+            let f = lint_all(path, scope_src);
+            assert_eq!(f.len(), 1, "{path}: {f:?}");
+            assert_eq!(f[0].rule, "thread_confinement");
+        }
+        // The kernels and the pool may not panic: they run under every
+        // batched forward.
+        for path in ["crates/tensor/src/kernels.rs", "crates/tensor/src/pool.rs"] {
+            let f = lint_all(path, unwrap_src);
+            assert_eq!(f.len(), 1, "{path}: {f:?}");
+            assert_eq!(f[0].rule, "no_unwrap");
+        }
     }
 
     #[test]

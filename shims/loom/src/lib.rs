@@ -385,4 +385,55 @@ mod tests {
             "panic should name the schedule: {msg}"
         );
     }
+
+    #[test]
+    fn a_spawned_task_can_be_preempted_for_a_lower_id_task() {
+        // The main task (id 0) observes the spawned task between its two
+        // writes only if the explorer switches away from task 1 to a
+        // lower id at task 1's own decision point.
+        let r = super::explore(|| {
+            let x = Arc::new(AtomicUsize::new(0));
+            let m = Arc::new(Mutex::new(0usize));
+            let (x2, m2) = (Arc::clone(&x), Arc::clone(&m));
+            let t = super::thread::spawn(move || {
+                x2.fetch_add(1, Ordering::SeqCst);
+                *m2.lock().unwrap() = 1;
+            });
+            let seen_x = x.load(Ordering::SeqCst);
+            let seen_m = *m.lock().unwrap();
+            t.join().unwrap();
+            assert!(!(seen_x == 1 && seen_m == 0), "saw the half-done task");
+        });
+        let failure = r.failure.expect("the explorer must reach the gap");
+        assert!(failure.contains("half-done"), "{failure}");
+    }
+
+    #[test]
+    fn an_unpark_before_the_park_is_not_lost() {
+        let r = super::explore(|| {
+            let flag = Arc::new(AtomicUsize::new(0));
+            let flag2 = Arc::clone(&flag);
+            let t = super::thread::spawn(move || {
+                while flag2.load(Ordering::SeqCst) == 0 {
+                    super::thread::park();
+                }
+            });
+            flag.store(1, Ordering::SeqCst);
+            t.thread().unpark();
+            t.join().unwrap();
+        });
+        assert!(r.failure.is_none(), "{:?}", r.failure);
+        assert!(r.completed && r.schedules > 1);
+    }
+
+    #[test]
+    fn a_spin_that_nobody_can_end_is_reported() {
+        let r = super::explore(|| {
+            let flag = AtomicUsize::new(0);
+            while flag.load(Ordering::SeqCst) == 0 {
+                super::thread::yield_now();
+            }
+        });
+        assert!(r.failure.is_some(), "a lone spinner never finishes");
+    }
 }

@@ -28,7 +28,8 @@ pub(crate) struct Abort;
 /// One recorded scheduling decision.
 #[derive(Debug, Clone)]
 pub(crate) struct Decision {
-    /// Tasks that were runnable at the decision point, ascending.
+    /// Tasks that were runnable at the decision point: the deciding
+    /// task first when it is runnable, the rest ascending.
     pub enabled: Vec<usize>,
     /// Index into `enabled` that was chosen.
     pub chosen: usize,
@@ -43,6 +44,10 @@ enum TaskState {
 
 struct SchedState {
     tasks: Vec<TaskState>,
+    /// Per task: an `unpark` arrived while it was not parked.
+    unpark_tokens: Vec<bool>,
+    /// Per task: blocked in `park` (as opposed to a lock or a join).
+    parked: Vec<bool>,
     /// Tasks waiting in `join` on the keyed task.
     join_waiters: Vec<Vec<usize>>,
     /// The one task allowed to run; `usize::MAX` before task 0 starts.
@@ -103,6 +108,8 @@ impl Scheduler {
         Scheduler {
             state: StdMutex::new(SchedState {
                 tasks: Vec::new(),
+                unpark_tokens: Vec::new(),
+                parked: Vec::new(),
                 join_waiters: Vec::new(),
                 active: usize::MAX,
                 schedule,
@@ -202,18 +209,24 @@ impl Scheduler {
         // the *recorded* enabled set keeps the DFS from exploring
         // alternatives that would break the bound.
         let me_enabled = st.tasks.get(me) == Some(&TaskState::Runnable);
+        // The current task goes first: it is the default choice below,
+        // and the explorer only ever tries the alternatives *after* a
+        // decision's chosen index — with `me` left in id order, every
+        // lower-id task was never tried at a decision of a higher-id task.
+        if me_enabled {
+            enabled.retain(|&t| t != me);
+            enabled.insert(0, me);
+        }
         if me_enabled && st.preemption_bound.is_some_and(|b| st.preemptions >= b) {
             enabled = vec![me];
         }
         let pos = st.decisions.len();
         let chosen = match st.schedule.get(pos) {
             Some(&c) => c.min(enabled.len() - 1),
-            None => {
-                // Past the prescribed prefix: default to staying on the
-                // current task when possible (fewer context switches per
-                // baseline schedule), else lowest id.
-                enabled.iter().position(|&t| t == me).unwrap_or(0)
-            }
+            // Past the prescribed prefix: stay on the current task when
+            // possible (fewer context switches per baseline schedule),
+            // else take the lowest id.
+            None => 0,
         };
         let next = enabled[chosen];
         if me_enabled && next != me {
@@ -234,6 +247,49 @@ impl Scheduler {
         }
         self.choose_next(&mut st, me);
         self.wait_for_turn(st, me);
+    }
+
+    /// A spin-wait iteration: hands control to another runnable task —
+    /// never back to `me`, which would let a spin loop run forever —
+    /// and reports a failure when there is none (the spin could never
+    /// end). The hand-over costs no preemption, like a blocking point.
+    pub(crate) fn yield_to_others(&self, me: usize) {
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        if st.abort {
+            drop(st);
+            std::panic::panic_any(Abort);
+        }
+        st.tasks[me] = TaskState::Blocked;
+        self.choose_next(&mut st, me);
+        if !st.abort {
+            st.tasks[me] = TaskState::Runnable;
+        }
+        self.wait_for_turn(st, me);
+    }
+
+    /// Consumes `me`'s unpark token, or blocks until [`Self::unpark`]
+    /// delivers one.
+    pub(crate) fn park(&self, me: usize) {
+        self.yield_point(me);
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        if std::mem::take(&mut st.unpark_tokens[me]) {
+            return;
+        }
+        st.parked[me] = true;
+        st.tasks[me] = TaskState::Blocked;
+        self.choose_next(&mut st, me);
+        self.wait_for_turn(st, me);
+    }
+
+    /// Wakes `task` if it is parked, else leaves it a token so its next
+    /// `park` returns at once.
+    pub(crate) fn unpark(&self, task: usize) {
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        if std::mem::take(&mut st.parked[task]) {
+            st.tasks[task] = TaskState::Runnable;
+        } else {
+            st.unpark_tokens[task] = true;
+        }
     }
 
     /// Marks `me` blocked, schedules someone else, and waits until a
@@ -318,6 +374,8 @@ pub(crate) fn spawn_task(sched: &Arc<Scheduler>, f: impl FnOnce() + Send + 'stat
             std::panic::panic_any(Abort);
         }
         st.tasks.push(TaskState::Runnable);
+        st.unpark_tokens.push(false);
+        st.parked.push(false);
         st.join_waiters.push(Vec::new());
         st.tasks.len() - 1
     };
